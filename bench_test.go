@@ -17,9 +17,12 @@ import (
 
 	"malt/internal/baseline/allreduce"
 	"malt/internal/bench"
+	"malt/internal/compress"
 	"malt/internal/dataflow"
 	"malt/internal/dstorm"
 	"malt/internal/fabric"
+	"malt/internal/fabric/tcpnet"
+	"malt/internal/ml/linalg"
 	"malt/internal/vol"
 )
 
@@ -504,19 +507,36 @@ func BenchmarkPerSenderQueuesVsLockedInbox(b *testing.B) {
 }
 
 // BenchmarkTransports compares the in-process fabric with the loopback TCP
-// transport for a model-sized write.
+// transport (fabric/tcpnet) for a model-sized write.
 func BenchmarkTransports(b *testing.B) {
 	const dim = 47152
 	payload := make([]byte, 8*dim)
-	for _, tr := range []fabric.Delivery{fabric.InProc, fabric.TCP} {
-		b.Run(tr.String(), func(b *testing.B) {
-			f, err := fabric.New(fabric.Config{Ranks: 2, Delivery: tr})
+	build := map[string]func() ([]fabric.Transport, error){
+		"inproc": func() ([]fabric.Transport, error) {
+			f, err := fabric.New(fabric.Config{Ranks: 2})
+			return []fabric.Transport{f, f}, err
+		},
+		"tcp": func() ([]fabric.Transport, error) {
+			nets, err := tcpnet.Loopback(2, tcpnet.Config{})
+			if err != nil {
+				return nil, err
+			}
+			return []fabric.Transport{nets[0], nets[1]}, nil
+		},
+	}
+	for _, name := range []string{"inproc", "tcp"} {
+		b.Run(name, func(b *testing.B) {
+			ends, err := build[name]()
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer f.Close()
+			defer func() {
+				for _, e := range ends {
+					e.Close()
+				}
+			}()
 			sink := make([]byte, len(payload))
-			if err := f.Register(1, "w", func(from int, p []byte) error {
+			if err := ends[1].Register(1, "w", func(from int, p []byte) error {
 				copy(sink, p)
 				return nil
 			}); err != nil {
@@ -526,7 +546,7 @@ func BenchmarkTransports(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				//maltlint:allow bufretain -- raw-fabric baseline re-posts one read-only buffer; the fabric copies on deposit
-				if err := f.Write(0, 1, "w", payload); err != nil {
+				if err := ends[0].Write(0, 1, "w", payload); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -554,9 +574,14 @@ func BenchmarkGradientCompression(b *testing.B) {
 			for i := 0; i < touched; i++ {
 				delta[i*(dim/touched)] = float64(i%17) - 8
 			}
+			up := &linalg.SparseVector{}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				up := vol.TopK(delta, tc.k)
+				up.Idx = compress.SelectTopK(delta, tc.k, up.Idx)
+				up.Val = up.Val[:0]
+				for _, ix := range up.Idx {
+					up.Val = append(up.Val, delta[ix])
+				}
 				if _, err := vecs[0].ScatterSparse(up, uint64(i+1)); err != nil {
 					b.Fatal(err)
 				}

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"net"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -17,11 +16,9 @@ import (
 	"malt/internal/ml/svm"
 )
 
-// newTCPNets assembles an n-rank tcpnet cluster inside this process: each
-// rank pre-binds a loopback :0 listener so the full address book is known
-// before any endpoint is constructed, then all ranks rendezvous. The three
-// Nets stand in for three OS processes; nothing is shared between replicas
-// except the sockets.
+// newTCPNets assembles an n-rank tcpnet cluster inside this process
+// (tcpnet.Loopback). The Nets stand in for separate OS processes; nothing
+// is shared between replicas except the sockets.
 // window selects the data-path mode for a test cluster: windowed is the
 // pipelined default; ackPerFrame (WindowFrames=1) restores the legacy
 // synchronous contract — Write returns only once the frame has deposited
@@ -37,28 +34,21 @@ const (
 
 func newTCPNets(t *testing.T, n, window int) []*tcpnet.Net {
 	t.Helper()
-	lns := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("rank %d: listen: %v", i, err)
+	nets, err := tcpnet.Loopback(n, tcpnet.Config{
+		WindowFrames:      window,
+		RendezvousTimeout: 30 * time.Second,
+		BarrierTimeout:    60 * time.Second,
+		HeartbeatInterval: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		for _, nt := range nets {
+			nt.Close()
 		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	mk := func(i int) (*tcpnet.Net, error) {
-		return tcpnet.New(tcpnet.Config{
-			Rank:              i,
-			Peers:             addrs,
-			Listener:          lns[i],
-			WindowFrames:      window,
-			RendezvousTimeout: 30 * time.Second,
-			BarrierTimeout:    60 * time.Second,
-			HeartbeatInterval: 10 * time.Millisecond,
-		})
-	}
-	return assembleNets(t, n, mk)
+	})
+	return nets
 }
 
 // newUDSNets is newTCPNets over Unix domain sockets: same cluster shape,

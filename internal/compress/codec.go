@@ -4,10 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"malt/internal/ml/linalg"
 )
 
-// Frame wire format. Every compressed payload — a whole update or one
-// gradient bucket's coordinate range — is one frame:
+// Frame wire format. Every vol payload — a whole update or one gradient
+// bucket's coordinate range, compressed or not — is one frame:
 //
 //	[0]   magic 0xC6
 //	[1]   codec ID
@@ -18,9 +20,10 @@ import (
 // is decoded knowing lo from the enclosing bucket header, or lo = 0 for a
 // whole-vector frame):
 //
-//	none:   count float64s, little-endian.
+//	none:   count float64s, little-endian (an uncompressed dense update).
 //	topk:   uint32 k, then k × (uint32 idx, float64 val), idx strictly
-//	        ascending within [lo, lo+count).
+//	        ascending within [lo, lo+count) (also an uncompressed sparse
+//	        update: its nonzero pairs).
 //	int8:   a run of 256-coordinate blocks aligned to absolute coordinate
 //	        0 (the first and last blocks of a mid-vector range are
 //	        partial). Each block: uint8 mode; mode 0 = quantized
@@ -60,34 +63,113 @@ const (
 // AppendFrame appends the complete frame (header + body) for coordinates
 // [lo, hi) of a planned update to dst.
 func AppendFrame(dst []byte, p *Plan, lo, hi int) []byte {
-	dst = append(dst, frameMagic, p.codec.ID())
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(hi-lo))
-	return p.codec.EncodeRange(dst, p, lo, hi)
+	return p.codec.EncodeRange(appendHeader(dst, p.codec.ID(), hi-lo), p, lo, hi)
+}
+
+// AppendDenseFrame appends a none frame carrying vals verbatim: the wire
+// form of an uncompressed dense update or bucket.
+func AppendDenseFrame(dst []byte, vals []float64) []byte {
+	return appendDense(appendHeader(dst, codecNoneID, len(vals)), vals)
+}
+
+// AppendPairsFrame appends a topk frame over count coordinates carrying
+// the pairs (idx[i], vals[i]): the wire form of an uncompressed sparse
+// update. idx must be strictly ascending within [0, count) — DecodePairs
+// and Decode reject anything else.
+func AppendPairsFrame(dst []byte, count int, idx []int32, vals []float64) []byte {
+	return appendPairs(appendHeader(dst, codecTopKID, count), idx, vals)
+}
+
+// DecodePairs decodes a topk frame covering count coordinates (lo = 0)
+// into sv, reusing its storage when the capacity suffices. It applies
+// Decode's checks, so every index it returns lies in [0, count) and the
+// indices are strictly ascending.
+func DecodePairs(sv *linalg.SparseVector, count int, frame []byte) error {
+	c, err := checkHeader(frame, count)
+	if err != nil {
+		return err
+	}
+	if c.ID() != codecTopKID {
+		return fmt.Errorf("compress: sparse update needs a topk frame, got %s", c.Name())
+	}
+	body := frame[frameHeaderSize:]
+	k, err := pairsLen(body, count)
+	if err != nil {
+		return err
+	}
+	sv.Idx = resizeI32(sv.Idx, k)
+	sv.Val = resizeF64(sv.Val, k)
+	prev := -1
+	for i := range sv.Idx {
+		p := body[4+12*i : 16+12*i]
+		ix := int(binary.LittleEndian.Uint32(p))
+		if ix <= prev || ix >= count {
+			return badPairIndex(ix, prev, count)
+		}
+		prev = ix
+		sv.Idx[i] = int32(ix)
+		sv.Val[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[4:]))
+	}
+	return nil
+}
+
+// appendHeader appends a frame header for a count-coordinate range.
+func appendHeader(dst []byte, id byte, count int) []byte {
+	dst = append(dst, frameMagic, id)
+	return binary.LittleEndian.AppendUint32(dst, uint32(count))
+}
+
+// appendDense appends the none body: vals as little-endian float64s.
+func appendDense(dst []byte, vals []float64) []byte {
+	for _, v := range vals {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+	}
+	return dst
+}
+
+// appendPairs appends the topk body: the pair count, then each
+// (uint32 idx, float64 val).
+func appendPairs(dst []byte, idx []int32, vals []float64) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(idx)))
+	for i, ix := range idx {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(ix))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(vals[i]))
+	}
+	return dst
+}
+
+// pairsLen validates a topk body's length against its pair count k and
+// the count coordinates it covers, returning k.
+func pairsLen(body []byte, count int) (int, error) {
+	if len(body) < 4 {
+		return 0, fmt.Errorf("compress: topk body too short (%d bytes)", len(body))
+	}
+	k := int(binary.LittleEndian.Uint32(body[0:4]))
+	if k > count || len(body) != 4+12*k {
+		return 0, fmt.Errorf("compress: topk body %d bytes with k=%d over %d coords", len(body), k, count)
+	}
+	return k, nil
+}
+
+// badPairIndex reports a topk pair index (relative to the frame's first
+// coordinate) that is not strictly ascending within [0, count).
+func badPairIndex(ix, prev, count int) error {
+	return fmt.Errorf("compress: topk index %d out of order or range (prev %d, count %d)", ix, prev, count)
 }
 
 // Decode decodes one frame covering exactly len(out) coordinates starting
 // at absolute coordinate lo into out.
 func Decode(out []float64, lo int, frame []byte) error {
-	if len(frame) < frameHeaderSize {
-		return fmt.Errorf("compress: frame too short (%d bytes)", len(frame))
-	}
-	if frame[0] != frameMagic {
-		return fmt.Errorf("compress: bad frame magic 0x%02X", frame[0])
-	}
-	c := byID(frame[1])
-	if c == nil {
-		return fmt.Errorf("compress: unknown codec ID %d", frame[1])
-	}
-	count := int(binary.LittleEndian.Uint32(frame[2:6]))
-	if count != len(out) {
-		return fmt.Errorf("compress: frame covers %d coords, want %d", count, len(out))
+	c, err := checkHeader(frame, len(out))
+	if err != nil {
+		return err
 	}
 	return c.DecodeRange(out, lo, frame[frameHeaderSize:])
 }
 
-// FrameCodec reports which registered codec a frame claims to carry
-// (diagnostics; does not validate the body).
-func FrameCodec(frame []byte) (Codec, error) {
+// checkHeader validates a frame header for a count-coordinate range and
+// returns the codec it names.
+func checkHeader(frame []byte, count int) (Codec, error) {
 	if len(frame) < frameHeaderSize {
 		return nil, fmt.Errorf("compress: frame too short (%d bytes)", len(frame))
 	}
@@ -97,6 +179,9 @@ func FrameCodec(frame []byte) (Codec, error) {
 	c := byID(frame[1])
 	if c == nil {
 		return nil, fmt.Errorf("compress: unknown codec ID %d", frame[1])
+	}
+	if n := int(binary.LittleEndian.Uint32(frame[2:6])); n != count {
+		return nil, fmt.Errorf("compress: frame covers %d coords, want %d", n, count)
 	}
 	return c, nil
 }
@@ -121,10 +206,7 @@ func (noneCodec) Plan(p *Plan, acc []float64, ratio float64) {
 }
 
 func (noneCodec) EncodeRange(dst []byte, p *Plan, lo, hi int) []byte {
-	for _, v := range p.Recon[lo:hi] {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-	}
-	return dst
+	return appendDense(dst, p.Recon[lo:hi])
 }
 
 func (noneCodec) DecodeRange(out []float64, lo int, body []byte) error {
@@ -151,11 +233,13 @@ func (topkCodec) MaxBodyBytes(n int) int { return 4 + 12*n }
 func (topkCodec) Plan(p *Plan, acc []float64, ratio float64) {
 	p.reset(topkCodec{}, len(acc))
 	p.selIdx = SelectTopK(acc, ratioK(ratio, len(acc)), p.selIdx)
+	p.selVal = resizeF64(p.selVal, len(p.selIdx))
 	for i := range p.Recon {
 		p.Recon[i] = 0
 	}
-	for _, ix := range p.selIdx {
+	for i, ix := range p.selIdx {
 		p.Recon[ix] = acc[ix]
+		p.selVal[i] = acc[ix]
 	}
 }
 
@@ -183,36 +267,26 @@ func lowerBound(asc []int32, x int32) int {
 
 func (topkCodec) EncodeRange(dst []byte, p *Plan, lo, hi int) []byte {
 	a, b := selRange(p.selIdx, lo, hi)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(b-a))
-	for _, ix := range p.selIdx[a:b] {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(ix))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.Recon[ix]))
-	}
-	return dst
+	return appendPairs(dst, p.selIdx[a:b], p.selVal[a:b])
 }
 
 func (topkCodec) DecodeRange(out []float64, lo int, body []byte) error {
-	if len(body) < 4 {
-		return fmt.Errorf("compress: topk body too short (%d bytes)", len(body))
-	}
-	k := int(binary.LittleEndian.Uint32(body[0:4]))
-	if k > len(out) || len(body) != 4+12*k {
-		return fmt.Errorf("compress: topk body %d bytes with k=%d over %d coords", len(body), k, len(out))
+	k, err := pairsLen(body, len(out))
+	if err != nil {
+		return err
 	}
 	for i := range out {
 		out[i] = 0
 	}
-	off := 4
 	prev := -1
 	for i := 0; i < k; i++ {
-		ix := int(binary.LittleEndian.Uint32(body[off:])) - lo
-		val := math.Float64frombits(binary.LittleEndian.Uint64(body[off+4:]))
-		off += 12
+		p := body[4+12*i : 16+12*i]
+		ix := int(binary.LittleEndian.Uint32(p)) - lo
 		if ix <= prev || ix >= len(out) {
-			return fmt.Errorf("compress: topk index %d out of order or range (prev %d, count %d)", ix+lo, prev+lo, len(out))
+			return badPairIndex(ix, prev, len(out))
 		}
 		prev = ix
-		out[ix] = val
+		out[ix] = math.Float64frombits(binary.LittleEndian.Uint64(p[4:]))
 	}
 	return nil
 }
@@ -476,8 +550,8 @@ func (hybridCodec) DecodeRange(out []float64, lo int, body []byte) error {
 	return nil
 }
 
-// resizeI8 and resizeBool grow-or-reslice scratch without reallocating in
-// steady state.
+// resizeI8, resizeBool, resizeI32 and resizeF64 grow-or-reslice scratch
+// without reallocating in steady state.
 func resizeI8(s []int8, n int) []int8 {
 	if cap(s) < n {
 		return make([]int8, n)
@@ -488,6 +562,20 @@ func resizeI8(s []int8, n int) []int8 {
 func resizeBool(s []bool, n int) []bool {
 	if cap(s) < n {
 		return make([]bool, n)
+	}
+	return s[:n]
+}
+
+func resizeF64(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
+}
+
+func resizeI32(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
 	}
 	return s[:n]
 }

@@ -154,8 +154,9 @@ type Plan struct {
 
 	codec Codec
 	// selIdx holds the globally selected coordinates, ascending
-	// (topk, hybrid).
+	// (topk, hybrid); selVal their values, in step (topk).
 	selIdx []int32
+	selVal []float64
 	// exps and raw are per-block (int8: 256-coordinate blocks; hybrid:
 	// 64-pair groups) power-of-two exponents and raw-passthrough flags.
 	exps []int8
@@ -182,6 +183,14 @@ var codecs = map[string]Codec{
 	"int8":   int8Codec{},
 	"hybrid": hybridCodec{},
 }
+
+// NoneCodec and TopKCodec are the registry's none and topk codecs: the
+// frames an uncompressed dense and an uncompressed sparse update ship as
+// (see AppendDenseFrame and AppendPairsFrame).
+var (
+	NoneCodec Codec = noneCodec{}
+	TopKCodec Codec = topkCodec{}
+)
 
 // Lookup resolves a codec by registry name.
 func Lookup(name string) (Codec, error) {

@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"testing/quick"
+
+	"malt/internal/ml/linalg"
 )
 
 // testVectors returns named gradient-like inputs covering the codecs'
@@ -247,7 +250,8 @@ func TestStatePerfAccounting(t *testing.T) {
 	}
 }
 
-// TestSelectTopK covers the edge cases the orphaned vol.TopK mishandled.
+// TestSelectTopK pins SelectTopK's edge cases: k out of range, zeros,
+// ties and non-finite entries.
 func TestSelectTopK(t *testing.T) {
 	cases := []struct {
 		name string
@@ -278,6 +282,94 @@ func TestSelectTopK(t *testing.T) {
 				t.Errorf("SelectTopK(%v, %d) = %v, want %v", tc.data, tc.k, got, tc.want)
 			}
 		})
+	}
+}
+
+// TestPlainFrames: the frames uncompressed vol updates ship as decode back
+// bit for bit, and DecodePairs rejects every malformed sparse frame.
+func TestPlainFrames(t *testing.T) {
+	vals := []float64{1, -2, math.NaN(), math.Inf(1), 0, 5e-324}
+	out := make([]float64, len(vals))
+	if err := Decode(out, 0, AppendDenseFrame(nil, vals)); err != nil {
+		t.Fatal(err)
+	}
+	for i := range vals {
+		if math.Float64bits(out[i]) != math.Float64bits(vals[i]) {
+			t.Fatalf("dense coord %d: %v != %v", i, out[i], vals[i])
+		}
+	}
+
+	idx, pv := []int32{0, 3, 9}, []float64{1.5, math.Inf(-1), -2}
+	frame := AppendPairsFrame(nil, 10, idx, pv)
+	var sv linalg.SparseVector
+	if err := DecodePairs(&sv, 10, frame); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sv.Idx, idx) || !reflect.DeepEqual(sv.Val, pv) {
+		t.Fatalf("pairs = %v / %v", sv.Idx, sv.Val)
+	}
+	if DecodePairs(&sv, 11, frame) == nil {
+		t.Error("count mismatch accepted")
+	}
+	if DecodePairs(&sv, len(vals), AppendDenseFrame(nil, vals)) == nil {
+		t.Error("none frame accepted as pairs")
+	}
+	for _, bad := range [][]int32{{-1}, {10}, {4, 2}, {3, 3}} {
+		if DecodePairs(&sv, 10, AppendPairsFrame(nil, 10, bad, make([]float64, len(bad)))) == nil {
+			t.Errorf("indices %v accepted", bad)
+		}
+	}
+}
+
+// TestSelectTopKDominance: the selection holds at most k entries, and no
+// unselected entry outweighs the lightest selected one; a fully tied input
+// selects the lowest indices, identically on every call.
+func TestSelectTopKDominance(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(64)
+		k := rng.Intn(n + 1)
+		data := make([]float64, n)
+		for i := range data {
+			if rng.Float64() < 0.7 {
+				data[i] = rng.NormFloat64()
+			}
+		}
+		sel := SelectTopK(data, k, nil)
+		if len(sel) > k {
+			return false
+		}
+		chosen := make(map[int32]bool, len(sel))
+		minSel := math.Inf(1)
+		for _, ix := range sel {
+			chosen[ix] = true
+			minSel = math.Min(minSel, math.Abs(data[ix]))
+		}
+		for i, v := range data {
+			if !chosen[int32(i)] && math.Abs(v) > minSel {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+
+	tied := make([]float64, 200)
+	for i := range tied {
+		tied[i] = 1.5
+	}
+	first := SelectTopK(tied, 50, nil)
+	for trial := 0; trial < 10; trial++ {
+		if again := SelectTopK(tied, 50, nil); !reflect.DeepEqual(again, first) {
+			t.Fatalf("trial %d: selection changed: %v vs %v", trial, again, first)
+		}
+	}
+	for i, ix := range first {
+		if ix != int32(i) {
+			t.Fatalf("tied selection should take the lowest indices: sel[%d] = %d", i, ix)
+		}
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"testing"
+
+	"malt/internal/ml/linalg"
 )
 
 // FuzzCompressDecode mirrors the framed-stream codec's fuzz harness
@@ -49,6 +51,20 @@ func FuzzCompressDecode(f *testing.F) {
 		out := make([]float64, count)
 		if err := Decode(out, lo, frame); err != nil {
 			return
+		}
+
+		// A topk frame decodes to the same pairs through DecodePairs.
+		if lo == 0 && frame[1] == codecTopKID {
+			var sv linalg.SparseVector
+			if err := DecodePairs(&sv, count, frame); err != nil {
+				t.Fatalf("Decode accepted a topk frame DecodePairs rejects: %v", err)
+			}
+			dense := sv.ToDense(count)
+			for i := range out {
+				if math.Float64bits(dense[i]) != math.Float64bits(out[i]) {
+					t.Fatalf("coord %d: DecodePairs %v != Decode %v", i, dense[i], out[i])
+				}
+			}
 		}
 
 		// Exact framing: strict prefixes and extensions must fail.

@@ -41,13 +41,11 @@ type Config struct {
 	ASPCutoff uint64
 	// QueueLen is the per-sender receive queue depth for vectors.
 	QueueLen int
-	// AsyncSend enables sender-side queues of the given depth when > 0.
-	AsyncSend int
 	// Pipeline, when non-nil, enables the per-destination send coalescer on
 	// every rank: scatters return after enqueue, small updates for the same
 	// peer merge into one fabric write, and BSP/SSP barriers drain the
-	// pipeline so consistency is unchanged. Takes precedence over AsyncSend
-	// on the scatter path. Zero-valued fields use dstorm defaults.
+	// pipeline so consistency is unchanged. Zero-valued fields use dstorm
+	// defaults.
 	Pipeline *dstorm.PipelineConfig
 	// GatherWorkers enables the parallel gather engine on every rank:
 	// per-sender ring drains and update decodes fan out across a worker
@@ -288,10 +286,6 @@ func (c *Cluster) RunLocal(rank int, fn func(ctx *Context) error) (*Result, erro
 // and the trace-counter harvest.
 func (c *Cluster) runRank(r int, fn func(ctx *Context) error) RankResult {
 	ctx := c.contexts[r]
-	if c.cfg.AsyncSend > 0 {
-		ctx.node.EnableAsyncSend(c.cfg.AsyncSend)
-		defer ctx.node.DisableAsyncSend()
-	}
 	if c.cfg.Pipeline != nil {
 		ctx.node.EnablePipeline(*c.cfg.Pipeline)
 	}
@@ -676,8 +670,8 @@ func (ctx *Context) ReportFailures(peers []int) { ctx.reportFailures(peers) }
 
 func (ctx *Context) reportFailures(peers []int) {
 	if len(peers) == 0 {
-		// Async sends surface failures out of band; poll them here so the
-		// monitor still learns about dead peers promptly.
+		// Pipelined sends surface failures out of band; poll them here so
+		// the monitor still learns about dead peers promptly.
 		peers = ctx.node.AsyncFailures()
 		if len(peers) == 0 {
 			return

@@ -1,18 +1,64 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
 	"malt/internal/consistency"
 	"malt/internal/data"
-	"malt/internal/fabric"
+	"malt/internal/fabric/tcpnet"
 	"malt/internal/ml/svm"
 	"malt/internal/vol"
 )
 
+// runOverTCP runs fn on every rank of a loopback tcpnet cluster, one
+// Cluster per rank driven by RunLocal — the shape of separate OS
+// processes, sharing nothing but the sockets. It returns the per-rank
+// clusters (for traffic checks) after every replica has finished.
+func runOverTCP(t *testing.T, cfg Config, fn func(ctx *Context) error) []*Cluster {
+	t.Helper()
+	nets, err := tcpnet.Loopback(cfg.Ranks, tcpnet.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusters := make([]*Cluster, cfg.Ranks)
+	for r := range clusters {
+		rc := cfg
+		rc.Transport = nets[r]
+		if clusters[r], err = NewCluster(rc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Cleanup(func() {
+		for _, c := range clusters {
+			c.Close()
+		}
+	})
+	errs := make([]error, cfg.Ranks)
+	var wg sync.WaitGroup
+	for r, c := range clusters {
+		wg.Add(1)
+		go func(r int, c *Cluster) {
+			defer wg.Done()
+			res, err := c.RunLocal(r, fn)
+			if err == nil {
+				err = res.FirstError()
+			}
+			errs[r] = err
+		}(r, c)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	return clusters
+}
+
 // TestDistributedSVMOverTCP drives the full stack — runtime, vol, dstorm,
-// consistency — over the loopback TCP transport instead of in-process
-// memory copies: real sockets, real serialization, same results.
+// consistency — over loopback TCP sockets instead of in-process memory
+// copies: real sockets, real serialization, same results.
 func TestDistributedSVMOverTCP(t *testing.T) {
 	ds, err := data.GenerateClassification(data.ClassificationSpec{
 		Name: "t", Dim: 60, Train: 1200, Test: 300, NNZ: 8, Noise: 0.03, Seed: 9,
@@ -20,19 +66,9 @@ func TestDistributedSVMOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCluster(Config{
-		Ranks:  3,
-		Sync:   consistency.BSP,
-		Fabric: fabric.Config{Delivery: fabric.TCP},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Fabric().Close()
-
 	const cb = 100
 	finals := make([][]float64, 3)
-	res := c.Run(func(ctx *Context) error {
+	clusters := runOverTCP(t, Config{Ranks: 3, Sync: consistency.BSP}, func(ctx *Context) error {
 		g, err := ctx.CreateVector("grad", vol.Dense, ds.Dim)
 		if err != nil {
 			return err
@@ -78,9 +114,6 @@ func TestDistributedSVMOverTCP(t *testing.T) {
 		finals[ctx.Rank()] = w
 		return nil
 	})
-	if err := res.FirstError(); err != nil {
-		t.Fatal(err)
-	}
 	tr, _ := svm.New(svm.Config{Dim: ds.Dim})
 	if acc := tr.Accuracy(finals[0], ds.Test); acc < 0.85 {
 		t.Fatalf("TCP-transport accuracy %v too low", acc)
@@ -93,7 +126,7 @@ func TestDistributedSVMOverTCP(t *testing.T) {
 			}
 		}
 	}
-	if c.Fabric().Stats().TotalBytes() == 0 {
+	if clusters[0].Transport().Stats().TotalBytes() == 0 {
 		t.Fatal("no traffic accounted over TCP")
 	}
 }
@@ -108,18 +141,9 @@ func TestTransportsProduceIdenticalModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	train := func(transport fabric.Delivery) []float64 {
-		c, err := NewCluster(Config{
-			Ranks:  2,
-			Sync:   consistency.BSP,
-			Fabric: fabric.Config{Delivery: transport},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Fabric().Close()
-		final := make([]float64, ds.Dim)
-		res := c.Run(func(ctx *Context) error {
+	cfg := Config{Ranks: 2, Sync: consistency.BSP}
+	replica := func(final []float64) func(ctx *Context) error {
+		return func(ctx *Context) error {
 			g, err := ctx.CreateVector("grad", vol.Dense, ds.Dim)
 			if err != nil {
 				return err
@@ -163,14 +187,20 @@ func TestTransportsProduceIdenticalModels(t *testing.T) {
 				copy(final, w)
 			}
 			return nil
-		})
-		if err := res.FirstError(); err != nil {
-			t.Fatal(err)
 		}
-		return final
 	}
-	inproc := train(fabric.InProc)
-	tcp := train(fabric.TCP)
+
+	inproc := make([]float64, ds.Dim)
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Run(replica(inproc)).FirstError(); err != nil {
+		t.Fatal(err)
+	}
+	tcp := make([]float64, ds.Dim)
+	runOverTCP(t, cfg, replica(tcp))
 	for i := range inproc {
 		if inproc[i] != tcp[i] {
 			t.Fatalf("transports diverged at %d: %v vs %v", i, inproc[i], tcp[i])

@@ -596,7 +596,9 @@ func (s *Segment) drainQueue(from int, q *queue, mode GatherMode, atomic bool) {
 		if gotSeq != sq && atomic {
 			// The slot was lapped between peek and read; its content is
 			// a newer item we will pick up (or already did) at its own
-			// sequence position. Skip the overwritten one.
+			// sequence position. Skip the overwritten one, counting it
+			// as lost to the overwrite.
+			q.overwritten++
 			bufIdx--
 			continue
 		}

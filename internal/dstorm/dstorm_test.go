@@ -467,16 +467,20 @@ func TestAtomicGatherNeverTorn(t *testing.T) {
 	}
 }
 
+// TestAsyncSendDeliversAndFlushes: pipelined scatters return before
+// delivery, and Drain delivers them in order — ring overwrites keep the
+// newest QueueLen.
 func TestAsyncSendDeliversAndFlushes(t *testing.T) {
-	c, segs := newTestCluster(t, 2, SegmentOptions{ObjectSize: 8})
+	c, segs := newPipelineCluster(t, fabric.Config{Ranks: 2}, SegmentOptions{ObjectSize: 8}, slowFlush())
 	n := c.Node(0)
-	n.EnableAsyncSend(16)
 	for i := 1; i <= 10; i++ {
 		if _, err := segs[0].Scatter([]byte(fmt.Sprintf("a%d", i)), uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	n.DisableAsyncSend() // flushes the queue
+	if err := n.Drain(); err != nil {
+		t.Fatal(err)
+	}
 	ups, err := segs[1].Gather(GatherAllNew)
 	if err != nil {
 		t.Fatal(err)
@@ -489,17 +493,20 @@ func TestAsyncSendDeliversAndFlushes(t *testing.T) {
 	}
 }
 
+// TestAsyncSendFailuresReported: a pipelined write to a dead peer surfaces
+// through AsyncFailures once, then clears.
 func TestAsyncSendFailuresReported(t *testing.T) {
-	c, segs := newTestCluster(t, 2, SegmentOptions{ObjectSize: 8})
+	c, segs := newPipelineCluster(t, fabric.Config{Ranks: 2}, SegmentOptions{ObjectSize: 8}, slowFlush())
 	if err := c.Fabric().Kill(1); err != nil {
 		t.Fatal(err)
 	}
 	n := c.Node(0)
-	n.EnableAsyncSend(4)
 	if _, err := segs[0].Scatter([]byte("x"), 1); err != nil {
 		t.Fatal(err)
 	}
-	n.DisableAsyncSend()
+	if err := n.Drain(); err != nil {
+		t.Fatal(err)
+	}
 	failed := n.AsyncFailures()
 	if len(failed) != 1 || failed[0] != 1 {
 		t.Fatalf("AsyncFailures = %v, want [1]", failed)
@@ -628,6 +635,40 @@ func TestSegmentStatsCountConsumedAndOverwritten(t *testing.T) {
 	// Sender side saw no loss at all.
 	if s := segs[0].Stats(); s.Consumed != 0 || s.Overwritten != 0 {
 		t.Fatalf("sender stats = %+v", s)
+	}
+}
+
+// TestStatsConserveUpdatesUnderConcurrentGather: with a sender lapping a
+// shallow ring while the receiver gathers, every sent update is counted
+// exactly once — consumed, or overwritten (including one lapped between a
+// gather's peek and its read).
+func TestStatsConserveUpdatesUnderConcurrentGather(t *testing.T) {
+	const sends = 20000
+	_, segs := newTestCluster(t, 2, SegmentOptions{ObjectSize: 8, QueueLen: 2})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i <= sends; i++ {
+			if _, err := segs[0].Scatter([]byte("x"), uint64(i)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if _, err := segs[1].Gather(GatherAllNew); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := segs[1].Stats()
+	if st.Consumed+st.Overwritten != sends {
+		t.Fatalf("consumed %d + overwritten %d = %d, want %d sent",
+			st.Consumed, st.Overwritten, st.Consumed+st.Overwritten, sends)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"malt/internal/fabric"
 )
 
 // TestQueueSemanticsProperty drives a random interleaving of scatters and
@@ -77,27 +79,28 @@ func propCluster(t *testing.T, qlen int) (*Cluster, []*Segment) {
 	return newTestCluster(t, 2, SegmentOptions{ObjectSize: 4, QueueLen: qlen})
 }
 
-// TestAsyncSendBackPressure verifies the sender-side queue blocks the
-// producer when full (§3.1's back-pressure) rather than dropping sends.
+// TestAsyncSendBackPressure verifies the send pipeline blocks the producer
+// when its worker queue is full (§3.1's back-pressure) rather than dropping
+// sends: under ring-overwrite pressure the newest send still lands.
 func TestAsyncSendBackPressure(t *testing.T) {
-	c, segs := newTestCluster(t, 2, SegmentOptions{ObjectSize: 1 << 16, QueueLen: 2})
-	// Make the "NIC" slow by imposing a delay on every write.
-	// (Delay knobs live on the fabric config; instead, saturate by volume:
-	// a tiny queue plus many large sends must not lose the newest data.)
+	pcfg := PipelineConfig{Workers: 1, MaxBatchCount: 1, QueueDepth: 1}
+	c, segs := newPipelineCluster(t, fabric.Config{Ranks: 2},
+		SegmentOptions{ObjectSize: 1 << 16, QueueLen: 2}, pcfg)
 	n := c.Node(0)
-	n.EnableAsyncSend(1)
 	payload := make([]byte, 1<<16)
 	const sends = 50
 	start := time.Now()
 	for i := 1; i <= sends; i++ {
-		//maltlint:allow bufretain -- async send copies the payload before queueing; mutate-then-repost is the overwrite pressure under test
+		//maltlint:allow bufretain -- the pipeline copies the payload before queueing; mutate-then-repost is the overwrite pressure under test
 		payload[0] = byte(i)
-		//maltlint:allow bufretain -- async send copies the payload before queueing; mutate-then-repost is the overwrite pressure under test
+		//maltlint:allow bufretain -- the pipeline copies the payload before queueing; mutate-then-repost is the overwrite pressure under test
 		if _, err := segs[0].Scatter(payload, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	n.DisableAsyncSend() // flush
+	if err := n.Drain(); err != nil {
+		t.Fatal(err)
+	}
 	if time.Since(start) > 30*time.Second {
 		t.Fatal("async send pathologically slow")
 	}

@@ -166,22 +166,27 @@ func TestRetryDeadlineBoundsOneWrite(t *testing.T) {
 	}
 }
 
+// TestAsyncSendRetriesTransients: the pipeline's off-thread deposits absorb
+// transient drops with the node's retry policy.
 func TestAsyncSendRetriesTransients(t *testing.T) {
-	c, segs := newChaosCluster(t, 2,
-		fabric.ChaosConfig{Seed: 6, Default: fabric.LinkFault{DropProb: 0.5}},
-		SegmentOptions{ObjectSize: 8, QueueLen: 64})
+	// One record per batch, so exhausted batches count lost updates.
+	pcfg := PipelineConfig{Workers: 2, MaxBatchCount: 1}
+	c, segs := newPipelineCluster(t, fabric.Config{Ranks: 2,
+		Chaos: &fabric.ChaosConfig{Seed: 6, Default: fabric.LinkFault{DropProb: 0.5}}},
+		SegmentOptions{ObjectSize: 8, QueueLen: 64}, pcfg)
 	n := c.Node(0)
 	n.SetRetryPolicy(RetryPolicy{MaxAttempts: 12, Backoff: time.Microsecond})
-	n.EnableAsyncSend(16)
 	for i := 1; i <= 30; i++ {
 		if _, err := segs[0].Scatter([]byte("payload!"), uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	n.DisableAsyncSend() // flushes the queue
+	if err := n.Drain(); err != nil {
+		t.Fatal(err)
+	}
 	st := n.RetryStats()
 	if st.Retries == 0 {
-		t.Fatalf("async path did not retry: %+v", st)
+		t.Fatalf("pipelined path did not retry: %+v", st)
 	}
 	ups, err := segs[1].Gather(GatherAllNew)
 	if err != nil {

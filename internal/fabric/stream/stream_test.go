@@ -130,17 +130,18 @@ func TestWriteDepositsIntoHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Windowed writes return before the deposit: drain each sender so its
+	// cumulative acks (which carry the deposit outcome and move the stats)
+	// have landed. Rank 0 drains before rank 2 writes, so the two senders'
+	// deposits cannot reorder at the receiver.
 	if err := nets[0].Write(0, 1, "w", []byte("hello")); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	if err := nets[2].WriteBatch(2, 1, "w", [][]byte{[]byte("a"), []byte("b"), []byte("c")}); err != nil {
-		t.Fatalf("write batch: %v", err)
-	}
-	// Windowed writes return before the deposit: drain both senders so the
-	// cumulative acks (which carry the deposit outcome and move the stats)
-	// have landed.
 	if err := nets[0].Drain(); err != nil {
 		t.Fatalf("drain rank 0: %v", err)
+	}
+	if err := nets[2].WriteBatch(2, 1, "w", [][]byte{[]byte("a"), []byte("b"), []byte("c")}); err != nil {
+		t.Fatalf("write batch: %v", err)
 	}
 	if err := nets[2].Drain(); err != nil {
 		t.Fatalf("drain rank 2: %v", err)
@@ -194,6 +195,57 @@ func TestWriteErrors(t *testing.T) {
 	}
 	if err := nets[0].Write(0, 1, "w", []byte("x")); !errors.Is(err, fabric.ErrNotRegistered) {
 		t.Fatalf("after unregister: want ErrNotRegistered, got %v", err)
+	}
+}
+
+// TestConcurrentWrites: every rank writes to every other rank at once;
+// after each sender drains, every write has been deposited exactly once.
+func TestConcurrentWrites(t *testing.T) {
+	const ranks, writes = 4, 60
+	nets := newTestCluster(t, ranks)
+	var count [ranks]atomic.Int64
+	for r := range nets {
+		r := r
+		if err := nets[r].Register(r, "seg", func(int, []byte) error {
+			count[r].Add(1)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for from := range nets {
+		wg.Add(1)
+		go func(from int) {
+			defer wg.Done()
+			for i := 0; i < writes; i++ {
+				to := (from + 1 + i%(ranks-1)) % ranks
+				if err := nets[from].Write(from, to, "seg", []byte{byte(i)}); err != nil {
+					t.Errorf("write %d->%d: %v", from, to, err)
+					return
+				}
+			}
+			if err := nets[from].Drain(); err != nil {
+				t.Errorf("drain rank %d: %v", from, err)
+			}
+		}(from)
+	}
+	wg.Wait()
+	var total int64
+	for r := range count {
+		total += count[r].Load()
+	}
+	if total != ranks*writes {
+		t.Fatalf("delivered %d writes, want %d", total, ranks*writes)
+	}
+}
+
+func TestCloseIdempotent(t *testing.T) {
+	nets := newTestCluster(t, 2)
+	for i := 0; i < 2; i++ {
+		if err := nets[0].Close(); err != nil {
+			t.Fatalf("close %d: %v", i+1, err)
+		}
 	}
 }
 

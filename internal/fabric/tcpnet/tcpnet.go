@@ -7,7 +7,13 @@
 // this package only pins the network to TCP.
 package tcpnet
 
-import "malt/internal/fabric/stream"
+import (
+	"errors"
+	"net"
+	"sync"
+
+	"malt/internal/fabric/stream"
+)
 
 // Net is one rank's endpoint of a TCP cluster; see stream.Net.
 type Net = stream.Net
@@ -39,4 +45,57 @@ const (
 func New(cfg Config) (*Net, error) {
 	cfg.Network = stream.NetworkTCP
 	return stream.New(cfg)
+}
+
+// Loopback builds a ranks-endpoint cluster inside one process: it binds a
+// 127.0.0.1:0 listener per rank, creates every endpoint from cfg (Rank,
+// Peers and Listener filled in) and runs the all-rank Rendezvous. Tests and
+// benchmarks use it to drive real sockets without separate OS processes.
+// On error every endpoint built so far is closed.
+func Loopback(ranks int, cfg Config) ([]*Net, error) {
+	lns := make([]net.Listener, 0, ranks)
+	peers := make([]string, 0, ranks)
+	nets := make([]*Net, 0, ranks)
+	closeAll := func() {
+		for _, n := range nets {
+			_ = n.Close() // abandoning a failed build
+		}
+		for _, ln := range lns[len(nets):] {
+			_ = ln.Close()
+		}
+	}
+	for i := 0; i < ranks; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			closeAll()
+			return nil, err
+		}
+		lns = append(lns, ln)
+		peers = append(peers, ln.Addr().String())
+	}
+	for i := 0; i < ranks; i++ {
+		c := cfg
+		c.Rank, c.Peers, c.Listener = i, peers, lns[i]
+		n, err := New(c)
+		if err != nil {
+			closeAll()
+			return nil, err
+		}
+		nets = append(nets, n)
+	}
+	errs := make([]error, ranks)
+	var wg sync.WaitGroup
+	for i, n := range nets {
+		wg.Add(1)
+		go func(i int, n *Net) {
+			defer wg.Done()
+			errs[i] = n.Rendezvous()
+		}(i, n)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		closeAll()
+		return nil, err
+	}
+	return nets, nil
 }

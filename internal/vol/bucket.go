@@ -3,7 +3,6 @@ package vol
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // Gradient bucketing (comm/compute overlap, DDP-style).
@@ -25,9 +24,10 @@ import (
 //
 //	[0:8]   uint64 scatterID — sender's per-vector logical scatter counter
 //	[8:12]  uint32 lo        — first coordinate of this fragment
-//	[12:16] uint32 count     — float64 coordinates in this fragment
+//	[12:16] uint32 count     — coordinates in this fragment
 //	[16:20] uint32 buckets   — fragments in this logical update
-//	[20:]   count float64s, little-endian
+//	[20:]   the compress frame for coordinates [lo, lo+count): a none
+//	        frame, or the vector's codec frame when it is compressed
 //
 // All ranks create the vector with the same BucketBytes (vector creation is
 // collective with identical options), so a receiver always knows whether a
@@ -70,15 +70,13 @@ type bucketAsm struct {
 // bucketState is a bucketed vector's receive-side reassembly state plus the
 // sender-side split geometry.
 type bucketState struct {
-	coords     int                // coordinates per full-size fragment
-	buckets    int                // fragments per logical update
-	compressed bool               // fragments carry codec frames, not raw floats
-	asm        map[int]*bucketAsm // sender rank → active assembly
-	free       []*bucketAsm       // recycled assemblies (buffers reused)
-	// retired holds assemblies evicted mid-drain. They cannot go straight to
-	// free: decode tasks planned before the eviction still alias them, so
-	// recycling the buffer within the same gather would race. The gather
-	// moves them to free after its fold.
+	coords  int                // coordinates per full-size fragment
+	buckets int                // fragments per logical update
+	asm     map[int]*bucketAsm // sender rank → active assembly
+	free    []*bucketAsm       // recycled assemblies (buffers reused)
+	// retired holds assemblies evicted mid-drain. The gather moves them to
+	// free after its fold, so an assembly is never reused within the
+	// gather that evicted it.
 	retired []*bucketAsm
 	perf    BucketPerf
 }
@@ -110,17 +108,13 @@ func (bs *bucketState) bucketRange(dim, b int) (lo, hi int) {
 	return lo, hi
 }
 
-// encodeFragment writes one fragment into buf and returns the framed slice.
-func encodeFragment(buf []byte, id uint64, lo int, data []float64, buckets int) []byte {
-	out := buf[:bucketHeaderSize+8*len(data)]
-	binary.LittleEndian.PutUint64(out[0:8], id)
-	binary.LittleEndian.PutUint32(out[8:12], uint32(lo))
-	binary.LittleEndian.PutUint32(out[12:16], uint32(len(data)))
-	binary.LittleEndian.PutUint32(out[16:20], uint32(buckets))
-	for i, f := range data {
-		binary.LittleEndian.PutUint64(out[bucketHeaderSize+8*i:], math.Float64bits(f))
-	}
-	return out
+// appendHeader appends the header of scatter id's fragment for
+// coordinates [lo, hi); the fragment's frame follows it.
+func (bs *bucketState) appendHeader(dst []byte, id uint64, lo, hi int) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, id)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(lo))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(hi-lo))
+	return binary.LittleEndian.AppendUint32(dst, uint32(bs.buckets))
 }
 
 // fragHeader is a decoded fragment header.
@@ -146,30 +140,10 @@ func (bs *bucketState) decodeFragHeader(dim int, payload []byte) (fragHeader, er
 		return fragHeader{}, fmt.Errorf("vol: bucket fragment header out of range (lo=%d count=%d buckets=%d, vector dim=%d buckets=%d)",
 			h.lo, h.count, h.buckets, dim, bs.buckets)
 	}
-	if bs.compressed {
-		// Compressed fragments carry a variable-length codec frame; the
-		// frame decoder validates its own body exactly. Just require that
-		// a frame is present at all.
-		if len(payload) == bucketHeaderSize {
-			return fragHeader{}, fmt.Errorf("vol: compressed bucket fragment has no frame")
-		}
-	} else if len(payload) != bucketHeaderSize+8*h.count {
-		return fragHeader{}, fmt.Errorf("vol: bucket fragment %d bytes, header says %d coords", len(payload), h.count)
-	}
 	if h.lo%bs.coords != 0 {
 		return fragHeader{}, fmt.Errorf("vol: bucket fragment lo=%d not aligned to bucket size %d", h.lo, bs.coords)
 	}
 	return h, nil
-}
-
-// decodeFragInto decodes a validated fragment's floats into the assembly
-// buffer at the fragment's coordinate range. Disjoint ranges per fragment,
-// so concurrent decodes into one assembly are safe.
-func decodeFragInto(dst []float64, h fragHeader, payload []byte) {
-	out := dst[h.lo : h.lo+h.count]
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[bucketHeaderSize+8*i:]))
-	}
 }
 
 // grabAsm returns a recycled or fresh assembly for one logical update.
@@ -191,19 +165,12 @@ func (bs *bucketState) releaseAsm(a *bucketAsm) {
 	bs.free = append(bs.free, a)
 }
 
-// fragTask is one decode planned by planFragment, executed serially or on
-// the gather pool (ranges are disjoint across tasks, see decodeFragInto).
-type fragTask struct {
-	asm     *bucketAsm
-	h       fragHeader
-	payload []byte
-}
-
-// planFragment routes one raw fragment to its sender's assembly, evicting a
+// routeFragment routes one fragment to its sender's assembly, evicting a
 // stale incomplete assembly when the sender has moved on to a newer
-// scatter. It returns the decode task to run, or nil when the fragment is a
-// duplicate or out of date. Serial: mutates assembly routing state.
-func (bs *bucketState) planFragment(dim, from int, iter uint64, h fragHeader, payload []byte) *fragTask {
+// scatter. It marks the fragment's bucket deposited and returns the
+// assembly to decode its frame into, or nil when the fragment is a
+// duplicate or out of date.
+func (bs *bucketState) routeFragment(dim, from int, iter uint64, h fragHeader) *bucketAsm {
 	a := bs.asm[from]
 	if a != nil && h.id < a.id {
 		// A fragment of a scatter older than the one being assembled: its
@@ -232,7 +199,7 @@ func (bs *bucketState) planFragment(dim, from int, iter uint64, h fragHeader, pa
 	}
 	a.seen[idx] = true
 	a.got++
-	return &fragTask{asm: a, h: h, payload: payload}
+	return a
 }
 
 // completeAsm detaches the sender's assembly if every fragment has landed,

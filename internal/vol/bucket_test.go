@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"malt/internal/compress"
 	"malt/internal/dataflow"
 	"malt/internal/dstorm"
 	"malt/internal/fabric"
@@ -422,23 +423,22 @@ func TestBucketBlackoutMidUpdate(t *testing.T) {
 func TestBucketDuplicateFragmentAbsorbed(t *testing.T) {
 	const dim = 8
 	bs := newBucketState(dim, 8*4) // 2 buckets of 4 coords
-	buf := make([]byte, bucketHeaderSize+8*4)
 	frag := func(id uint64, lo int) []byte {
 		data := []float64{1, 2, 3, 4}
-		return append([]byte(nil), encodeFragment(buf, id, lo, data, 2)...)
+		return compress.AppendDenseFrame(bs.appendHeader(nil, id, lo, lo+4), data)
 	}
-	plan := func(payload []byte) *fragTask {
+	route := func(payload []byte) *bucketAsm {
 		h, err := bs.decodeFragHeader(dim, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return bs.planFragment(dim, 1, 7, h, payload)
+		return bs.routeFragment(dim, 1, 7, h)
 	}
-	if plan(frag(1, 0)) == nil {
-		t.Fatal("first fragment must plan a decode")
+	if route(frag(1, 0)) == nil {
+		t.Fatal("first fragment must route to an assembly")
 	}
-	if plan(frag(1, 0)) != nil {
-		t.Fatal("duplicate fragment must not plan a second decode")
+	if route(frag(1, 0)) != nil {
+		t.Fatal("duplicate fragment must not route a second time")
 	}
 	if bs.perf.Duplicates != 1 {
 		t.Fatalf("Duplicates = %d, want 1", bs.perf.Duplicates)
@@ -446,8 +446,8 @@ func TestBucketDuplicateFragmentAbsorbed(t *testing.T) {
 	if a := bs.completeAsm(1); a != nil {
 		t.Fatal("update completed with a bucket still missing")
 	}
-	if plan(frag(1, 4)) == nil {
-		t.Fatal("second bucket must plan a decode")
+	if route(frag(1, 4)) == nil {
+		t.Fatal("second bucket must route to the assembly")
 	}
 	a := bs.completeAsm(1)
 	if a == nil {

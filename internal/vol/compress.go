@@ -1,7 +1,6 @@
 package vol
 
 import (
-	"encoding/binary"
 	"math"
 
 	"malt/internal/compress"
@@ -9,8 +8,8 @@ import (
 
 // Compressed scatter path.
 //
-// A compressed Vector ships codec frames (internal/compress) instead of raw
-// float64s. Unlike every other scatter, the payload differs per destination:
+// A compressed Vector ships its codec's frames instead of none frames.
+// Unlike every other scatter, the payload differs per destination:
 // each link carries its own error-feedback residual, so the
 // residual-corrected update — and therefore the planned frame — is
 // per-peer. Scatters therefore loop over destinations, Begin-ing the
@@ -128,12 +127,7 @@ func (v *Vector) scatterCompressed(peers []int, iter uint64) ([]int, error) {
 		}
 		for b := 0; b < v.bucket.buckets; b++ {
 			lo, hi := v.bucket.bucketRange(v.dim, b)
-			buf := v.encBuf[:bucketHeaderSize]
-			binary.LittleEndian.PutUint64(buf[0:8], v.scatterID)
-			binary.LittleEndian.PutUint32(buf[8:12], uint32(lo))
-			binary.LittleEndian.PutUint32(buf[12:16], uint32(hi-lo))
-			binary.LittleEndian.PutUint32(buf[16:20], uint32(v.bucket.buckets))
-			payload := v.comp.st.EncodeRange(buf, lo, hi)
+			payload := v.comp.st.EncodeRange(v.bucket.appendHeader(v.encBuf[:0], v.scatterID, lo, hi), lo, hi)
 			v.bucket.perf.FragmentsSent++
 			f, err := v.scatterToOne(peer, payload, iter)
 			if err != nil {

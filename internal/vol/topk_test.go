@@ -5,196 +5,197 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"malt/internal/compress"
 )
 
-func TestTopKSelectsLargestMagnitude(t *testing.T) {
-	data := []float64{0.1, -5, 0, 2, -0.5, 3}
-	sv := TopK(data, 2)
-	if sv.NNZ() != 2 {
-		t.Fatalf("NNZ = %d", sv.NNZ())
+// Top-k gradient compression through a Vector: the paper's traffic filter
+// (§6.2) as a "topk" codec on the scatter path. Each test ships rank 0's
+// value to rank 1 and reads what rank 1 folded, so selection, error
+// feedback and the wire frames are checked together.
+
+// newTopKPair builds a two-rank Dense vector pair compressed with the topk
+// codec at ratio.
+func newTopKPair(t testing.TB, dim int, ratio float64) []*Vector {
+	t.Helper()
+	return newVectors(t, 2, dim, Dense, Options{Compress: compress.Options{Codec: "topk", Ratio: ratio}})
+}
+
+// shipTopK scatters data from rank 0 to rank 1 and returns the update
+// rank 1 received (its own value is zeroed first, so Sum yields exactly
+// the decoded frame).
+func shipTopK(t testing.TB, vecs []*Vector, data []float64, iter uint64) []float64 {
+	t.Helper()
+	copy(vecs[0].Data(), data)
+	recv := vecs[1].Data()
+	for i := range recv {
+		recv[i] = 0
 	}
-	// Largest magnitudes are -5 (idx 1) and 3 (idx 5), indices sorted.
-	if sv.Idx[0] != 1 || sv.Val[0] != -5 || sv.Idx[1] != 5 || sv.Val[1] != 3 {
-		t.Fatalf("TopK = %v / %v", sv.Idx, sv.Val)
+	if _, err := vecs[0].ScatterTo([]int{1}, iter); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vecs[1].Gather(Sum); err != nil {
+		t.Fatal(err)
+	}
+	return append([]float64(nil), vecs[1].Data()...)
+}
+
+func TestTopKSelectsLargestMagnitude(t *testing.T) {
+	vecs := newTopKPair(t, 6, 0.3)
+	got := shipTopK(t, vecs, []float64{0.1, -5, 0, 2, -0.5, 3}, 1)
+	// Largest magnitudes are -5 (idx 1) and 3 (idx 5): magnitude, not sign.
+	want := []float64{0, -5, 0, 0, 0, 3}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("received %v, want %v", got, want)
+		}
+	}
+	if p := vecs[0].CompressPerf(); p.BytesPost >= p.BytesPre {
+		t.Fatalf("2-of-6 frame not smaller than dense: %+v", p)
 	}
 }
 
 func TestTopKEdgeCases(t *testing.T) {
-	if TopK([]float64{1, 2}, 0).NNZ() != 0 {
-		t.Fatal("k=0 should be empty")
-	}
-	if TopK([]float64{1, 0, 2}, 10).NNZ() != 2 {
-		t.Fatal("k>len should return all non-zeros")
-	}
-	if TopK(nil, 3).NNZ() != 0 {
-		t.Fatal("empty data should be empty")
-	}
-}
-
-// TestTopKTable pins the edge cases the pre-compress implementation
-// mishandled: ties were broken by sort.Slice's unstable order and NaN
-// comparisons made the comparator intransitive. TopK now routes through
-// compress.SelectTopK, so ties break to the lower index and non-finite
-// entries always ship.
-func TestTopKTable(t *testing.T) {
-	cases := []struct {
-		name    string
-		data    []float64
-		k       int
-		wantIdx []int32
-		wantVal []float64
-	}{
-		{"k zero", []float64{3, 1}, 0, nil, nil},
-		{"k negative", []float64{3, 1}, -2, nil, nil},
-		{"k equals dim", []float64{1, -2, 3}, 3, []int32{0, 1, 2}, []float64{1, -2, 3}},
-		{"k exceeds dim skips zeros", []float64{1, 0, 3}, 10, []int32{0, 2}, []float64{1, 3}},
-		{"all zeros", []float64{0, 0, 0}, 2, nil, nil},
-		{"ties break to lower index", []float64{2, -2, 2, -2}, 2, []int32{0, 1}, []float64{2, -2}},
-		{"ties across sign", []float64{-7, 7}, 1, []int32{0}, []float64{-7}},
-		{"NaN always ships", []float64{9, math.NaN(), 1}, 1, []int32{1}, []float64{math.NaN()}},
-		{"Inf outranks finite", []float64{math.MaxFloat64, math.Inf(-1)}, 1, []int32{1}, []float64{math.Inf(-1)}},
-		{"NaN and Inf tie by index", []float64{1, math.NaN(), math.Inf(1)}, 2, []int32{1, 2}, []float64{math.NaN(), math.Inf(1)}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			sv := TopK(tc.data, tc.k)
-			if sv.NNZ() != len(tc.wantIdx) {
-				t.Fatalf("NNZ = %d, want %d (%v / %v)", sv.NNZ(), len(tc.wantIdx), sv.Idx, sv.Val)
+	t.Run("ratio one ships every nonzero exactly", func(t *testing.T) {
+		vecs := newTopKPair(t, 3, 1)
+		data := []float64{1, 0, -2}
+		got := shipTopK(t, vecs, data, 1)
+		for i := range data {
+			if got[i] != data[i] {
+				t.Fatalf("received %v, want %v", got, data)
 			}
-			for i := range tc.wantIdx {
-				if sv.Idx[i] != tc.wantIdx[i] {
-					t.Errorf("Idx[%d] = %d, want %d", i, sv.Idx[i], tc.wantIdx[i])
-				}
-				want := tc.wantVal[i]
-				if math.IsNaN(want) {
-					if !math.IsNaN(sv.Val[i]) {
-						t.Errorf("Val[%d] = %v, want NaN", i, sv.Val[i])
-					}
-				} else if sv.Val[i] != want {
-					t.Errorf("Val[%d] = %v, want %v", i, sv.Val[i], want)
-				}
+		}
+		for i, r := range vecs[0].comp.st.Residual(1) {
+			if r != 0 {
+				t.Fatalf("residual[%d] = %v after a lossless ship", i, r)
 			}
-		})
-	}
+		}
+	})
+	t.Run("all zeros ships nothing", func(t *testing.T) {
+		vecs := newTopKPair(t, 4, 0.5)
+		got := shipTopK(t, vecs, make([]float64, 4), 1)
+		for i, v := range got {
+			if v != 0 {
+				t.Fatalf("received[%d] = %v from an all-zero update", i, v)
+			}
+		}
+		if p := vecs[0].CompressPerf(); p.ResidualNormMicro != 0 {
+			t.Fatalf("all-zero update left residual mass %d", p.ResidualNormMicro)
+		}
+	})
+	t.Run("tiny ratio still ships one coordinate", func(t *testing.T) {
+		vecs := newTopKPair(t, 5, 1e-9)
+		got := shipTopK(t, vecs, []float64{1, 2, -9, 3, 4}, 1)
+		want := []float64{0, 0, -9, 0, 0}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("received %v, want %v", got, want)
+			}
+		}
+	})
 }
 
 // TestTopKDeterministicOnTies: selection is a pure function of the input
-// even when many magnitudes tie (the old sort.Slice comparator was
-// unstable, so tied inputs could select different indices run to run).
+// even when every magnitude ties — ties break to the lower index, so fresh
+// vectors always ship the same (lowest) coordinates.
 func TestTopKDeterministicOnTies(t *testing.T) {
-	data := make([]float64, 200)
+	const dim, k = 200, 50
+	data := make([]float64, dim)
 	for i := range data {
 		data[i] = 1.5 // everything ties
 	}
-	first := TopK(data, 50)
-	for trial := 0; trial < 10; trial++ {
-		sv := TopK(data, 50)
-		for i := range first.Idx {
-			if sv.Idx[i] != first.Idx[i] {
-				t.Fatalf("trial %d: Idx[%d] = %d, want %d", trial, i, sv.Idx[i], first.Idx[i])
+	for trial := 0; trial < 5; trial++ {
+		got := shipTopK(t, newTopKPair(t, dim, float64(k)/dim), data, 1)
+		for i, v := range got {
+			want := 0.0
+			if i < k {
+				want = 1.5
+			}
+			if v != want {
+				t.Fatalf("trial %d: received[%d] = %v, want %v", trial, i, v, want)
 			}
 		}
 	}
-	for i, ix := range first.Idx {
-		if ix != int32(i) {
-			t.Fatalf("tied selection should take the lowest indices: Idx[%d] = %d", i, ix)
-		}
-	}
 }
 
+// TestTopKResidualErrorFeedback: the dropped entries stay in the link's
+// residual, shipped + residual reconstructs the update exactly, and the
+// next scatter ships the residual so compression drops nothing for good.
 func TestTopKResidualErrorFeedback(t *testing.T) {
+	vecs := newTopKPair(t, 4, 0.5)
 	data := []float64{4, 1, -3, 0.5}
-	sv := TopKResidual(data, 2)
-	if sv.NNZ() != 2 {
-		t.Fatalf("NNZ = %d", sv.NNZ())
+	got := shipTopK(t, vecs, data, 1)
+	res := vecs[0].comp.st.Residual(1)
+	if want := []float64{0, 1, 0, 0.5}; !equalF64(res, want) {
+		t.Fatalf("residual = %v, want %v", res, want)
 	}
-	// Selected entries zeroed; residual keeps the rest.
-	if data[0] != 0 || data[2] != 0 {
-		t.Fatalf("selected entries not zeroed: %v", data)
-	}
-	if data[1] != 1 || data[3] != 0.5 {
-		t.Fatalf("residual corrupted: %v", data)
-	}
-	// Shipped + residual reconstructs the original exactly.
-	recon := sv.ToDense(4)
-	for i, v := range data {
-		recon[i] += v
-	}
-	want := []float64{4, 1, -3, 0.5}
-	for i := range want {
-		if recon[i] != want[i] {
-			t.Fatalf("recon = %v", recon)
+	for i := range data {
+		if got[i]+res[i] != data[i] {
+			t.Fatalf("shipped %v + residual %v != update %v", got, res, data)
 		}
+	}
+	// A zero update next round: error feedback ships the deferred mass.
+	got = shipTopK(t, vecs, make([]float64, 4), 2)
+	if want := []float64{0, 1, 0, 0.5}; !equalF64(got, want) {
+		t.Fatalf("second round received %v, want the residual %v", got, want)
+	}
+	if p := vecs[0].CompressPerf(); p.ResidualNormMicro != 0 {
+		t.Fatalf("residual mass %d left after it shipped", p.ResidualNormMicro)
 	}
 }
 
-// Property: the selected set's total magnitude dominates any other k-subset
-// (we check against the complement's max) and shipped+residual is lossless.
+// Property: the shipped set dominates what stays behind (min shipped
+// magnitude >= max residual magnitude), at most k coordinates ship, and
+// shipped + residual is lossless.
 func TestTopKProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(64)
-		k := rng.Intn(n + 1)
+		k := 1 + rng.Intn(n)
 		data := make([]float64, n)
 		for i := range data {
 			if rng.Float64() < 0.7 {
 				data[i] = rng.NormFloat64()
 			}
 		}
-		orig := append([]float64(nil), data...)
-		sv := TopKResidual(data, k)
-		if sv.NNZ() > k && k < n {
-			return false
-		}
-		// Losslessness.
-		recon := sv.ToDense(n)
-		for i := range recon {
-			recon[i] += data[i]
-			if recon[i] != orig[i] {
+		// (k-0.5)/n keeps ceil(ratio·n) == k clear of rounding.
+		vecs := newTopKPair(t, n, (float64(k)-0.5)/float64(n))
+		got := shipTopK(t, vecs, data, 1)
+		res := vecs[0].comp.st.Residual(1)
+		shipped := 0
+		minSel := math.Inf(1)
+		for i, v := range got {
+			if got[i]+res[i] != data[i] {
 				return false
 			}
-		}
-		// Dominance: min selected magnitude ≥ max residual magnitude.
-		minSel := math.Inf(1)
-		for _, v := range sv.Val {
-			if math.Abs(v) < minSel {
-				minSel = math.Abs(v)
+			if v != 0 {
+				shipped++
+				minSel = math.Min(minSel, math.Abs(v))
 			}
 		}
-		for _, v := range data {
+		if shipped > k {
+			return false
+		}
+		for _, v := range res {
 			if math.Abs(v) > minSel {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestTopKCompressedTrainingRoundTrip: a compressed scatter still delivers
-// the heavy coordinates to peers.
-func TestTopKCompressedScatter(t *testing.T) {
-	vecs := newVectors(t, 2, 100, Sparse, Options{MaxNNZ: 10})
-	d := vecs[0].Data()
-	for i := range d {
-		d[i] = 0.01
+func equalF64(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	d[7] = 5
-	d[42] = -3
-	up := TopK(d, 2)
-	if _, err := vecs[0].ScatterSparse(up, 1); err != nil {
-		t.Fatal(err)
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
 	}
-	if _, err := vecs[1].Gather(Sum); err != nil {
-		t.Fatal(err)
-	}
-	got := vecs[1].Data()
-	if got[7] != 5 || got[42] != -3 {
-		t.Fatalf("heavy coordinates lost: %v %v", got[7], got[42])
-	}
-	if got[0] != 0 {
-		t.Fatal("light coordinate should have been dropped")
-	}
+	return true
 }

@@ -1,7 +1,15 @@
 // Package vol is MALT's Vector Object Library (paper §3.2): it raises the
 // raw shared-memory segments of dstorm to typed model-parameter/gradient
-// vectors with representation optimizations (dense or sparse wire formats)
-// and gather-side user-defined functions (average, sum, replace, …).
+// vectors with representation optimizations (dense or sparse updates) and
+// gather-side user-defined functions (average, sum, replace, …).
+//
+// Every payload a vector writes is one internal/compress frame: a Dense
+// update ships as a none frame, a Sparse update as a topk frame of its
+// (index, value) pairs, a compressed update as its codec's frame, and a
+// bucket fragment as a bucket header followed by the frame for its
+// coordinate range. Receivers decode every payload with the same
+// validating frame decoder, so a malformed index or length is an error,
+// never a panic or an out-of-range write.
 //
 // Creating a Vector collectively creates a dstorm segment sized for the
 // chosen representation; Scatter serializes the local value (or a sparse
@@ -29,7 +37,7 @@ const (
 	// Dense sends the full float64 vector every scatter.
 	Dense Type = iota
 	// Sparse sends only non-zero entries as (index, value) pairs. The
-	// segment is still sized for the worst case (MaxNNZ).
+	// segment is sized for MaxNNZ pairs.
 	Sparse
 )
 
@@ -64,9 +72,9 @@ type Options struct {
 	BucketBytes int
 	// Compress selects gradient compression with per-destination
 	// error-feedback residuals (see compress.go and internal/compress).
-	// Scatters ship codec frames instead of raw floats — per destination,
-	// because each link's residual differs — and receivers decode before
-	// reassembly/fold. Composes with BucketBytes (fragments carry frame
+	// Scatters ship the codec's frames instead of none frames — per
+	// destination, because each link's residual differs — and receivers
+	// decode before reassembly/fold. Composes with BucketBytes (fragments carry frame
 	// slices of one globally planned update, so folds stay bitwise
 	// identical to unbucketed at any bucket size). Rejected for Sparse
 	// vectors. The zero value disables compression.
@@ -168,7 +176,6 @@ type Vector struct {
 	// Bucketing state (nil unless Options.BucketBytes > 0; see bucket.go).
 	bucket    *bucketState
 	scatterID uint64       // logical scatter counter stamped into fragments
-	fragTasks []fragTask   // per-gather planned fragment decodes
 	readyAsm  []readyUpd   // per-gather completed assemblies, in fold order
 	doneAsm   []*bucketAsm // assemblies to recycle after the fold
 
@@ -191,18 +198,18 @@ func Create(node *dstorm.Node, name string, typ Type, dim int, graph *dataflow.G
 	if dim <= 0 {
 		return nil, fmt.Errorf("vol: dimension must be positive, got %d", dim)
 	}
-	maxNNZ := opts.MaxNNZ
-	if maxNNZ <= 0 || maxNNZ > dim {
-		maxNNZ = dim
-	}
-	var objSize int
-	switch typ {
-	case Dense:
-		objSize = 8 * dim
-	case Sparse:
-		objSize = 4 + 12*maxNNZ // count + (int32 idx, float64 val) pairs
-	default:
+	if typ != Dense && typ != Sparse {
 		return nil, fmt.Errorf("vol: unknown vector type %d", typ)
+	}
+	// codec and coords size the largest frame a slot must hold. A topk
+	// body's size depends only on its pair count, so a sparse slot is
+	// sized for MaxNNZ pairs.
+	codec, coords := compress.NoneCodec, dim
+	if typ == Sparse {
+		codec = compress.TopKCodec
+		if opts.MaxNNZ > 0 && opts.MaxNNZ < dim {
+			coords = opts.MaxNNZ
+		}
 	}
 	var bs *bucketState
 	queueLen := opts.QueueLen
@@ -211,7 +218,7 @@ func Create(node *dstorm.Node, name string, typ Type, dim int, graph *dataflow.G
 			return nil, errors.New("vol: BucketBytes requires a Dense vector (sparse scatters are already deltas)")
 		}
 		bs = newBucketState(dim, opts.BucketBytes)
-		objSize = bucketHeaderSize + 8*bs.coords
+		coords = bs.coords
 		// The dstorm ring is per fragment; multiply the caller's (logical)
 		// depth so the ring still holds the same number of whole updates.
 		if queueLen == 0 {
@@ -236,14 +243,11 @@ func Create(node *dstorm.Node, name string, typ Type, dim int, graph *dataflow.G
 			}
 			comp.ctl = ctl
 		}
-		// Ring slots hold frames, not raw floats; size for the codec's
-		// worst case (a frame can exceed 8·dim at ratio 1).
-		if bs != nil {
-			bs.compressed = true
-			objSize = bucketHeaderSize + st.MaxFrameBytes(bs.coords)
-		} else {
-			objSize = st.MaxFrameBytes(dim)
-		}
+		codec = st.Codec()
+	}
+	objSize := compress.MaxFrameBytes(codec, coords)
+	if bs != nil {
+		objSize += bucketHeaderSize
 	}
 	seg, err := node.CreateSegment("vol/"+name, dstorm.SegmentOptions{
 		ObjectSize:          objSize,
@@ -309,7 +313,7 @@ func (v *Vector) Scatter(iter uint64) ([]int, error) {
 	if v.bucket != nil {
 		return v.scatterBuckets(nil, iter)
 	}
-	payload, err := v.encode(v.data)
+	payload, err := v.encode()
 	if err != nil {
 		return nil, err
 	}
@@ -326,21 +330,51 @@ func (v *Vector) ScatterTo(peers []int, iter uint64) ([]int, error) {
 	if v.bucket != nil {
 		return v.scatterBuckets(peers, iter)
 	}
-	payload, err := v.encode(v.data)
+	payload, err := v.encode()
 	if err != nil {
 		return nil, err
 	}
 	return v.seg.ScatterTo(peers, payload, iter)
 }
 
+// encode frames the local value: a none frame for a Dense vector, a topk
+// frame of its nonzero entries for a Sparse one.
+func (v *Vector) encode() ([]byte, error) {
+	if v.typ == Sparse {
+		return v.encodePairs(linalg.FromDense(v.data))
+	}
+	return compress.AppendDenseFrame(v.encBuf[:0], v.data), nil
+}
+
+// encodePairs frames a sparse update, rejecting one with more entries than
+// the slots were sized for (MaxNNZ).
+func (v *Vector) encodePairs(sv *linalg.SparseVector) ([]byte, error) {
+	if need := compress.MaxFrameBytes(compress.TopKCodec, sv.NNZ()); need > len(v.encBuf) {
+		return nil, fmt.Errorf("vol: sparse update with %d entries exceeds MaxNNZ capacity (%d bytes > %d)",
+			sv.NNZ(), need, len(v.encBuf))
+	}
+	return compress.AppendPairsFrame(v.encBuf[:0], v.dim, sv.Idx, sv.Val), nil
+}
+
 // ScatterSparse pushes an explicit sparse update (for example, only the
 // coordinates touched by the last mini-batch) instead of the full local
-// value. The vector must have been created with the Sparse type.
+// value. The vector must have been created with the Sparse type, and the
+// update's indices must be strictly ascending within [0, Dim).
 func (v *Vector) ScatterSparse(update *linalg.SparseVector, iter uint64) ([]int, error) {
 	if v.typ != Sparse {
 		return nil, errors.New("vol: ScatterSparse requires a Sparse vector")
 	}
-	payload, err := encodeSparse(v.encBuf, update)
+	if len(update.Idx) != len(update.Val) {
+		return nil, fmt.Errorf("vol: sparse update has %d indices but %d values", len(update.Idx), len(update.Val))
+	}
+	prev := int32(-1)
+	for _, ix := range update.Idx {
+		if ix <= prev || int(ix) >= v.dim {
+			return nil, fmt.Errorf("vol: sparse update index %d out of order or outside [0,%d) (previous %d)", ix, v.dim, prev)
+		}
+		prev = ix
+	}
+	payload, err := v.encodePairs(update)
 	if err != nil {
 		return nil, err
 	}
@@ -388,7 +422,7 @@ func (v *Vector) ScatterBucket(b int, peers []int, iter uint64) ([]int, error) {
 		v.scatterID++
 	}
 	lo, hi := v.bucket.bucketRange(v.dim, b)
-	payload := encodeFragment(v.encBuf, v.scatterID, lo, v.data[lo:hi], v.bucket.buckets)
+	payload := compress.AppendDenseFrame(v.bucket.appendHeader(v.encBuf[:0], v.scatterID, lo, hi), v.data[lo:hi])
 	v.bucket.perf.FragmentsSent++
 	if peers == nil {
 		return v.seg.Scatter(payload, iter)
@@ -602,14 +636,13 @@ func (v *Vector) gather(udf UDF, mode dstorm.GatherMode, weak bool) (GatherStats
 }
 
 // gatherBucketed is the receive half for bucketed vectors: fragments are
-// routed to per-sender assemblies, decoded (fanned across the gather pool —
-// fragment ranges are disjoint, so decodes into one assembly are
-// independent), and only *complete* logical updates are folded, in the same
-// (sender rank, scatter) order the serial path would use — so the fold
-// input multiset and order, and therefore the float result bit for bit,
-// match the unbucketed path. Incomplete assemblies persist across gathers
-// until their fragments arrive or a newer scatter evicts them; they are
-// never folded partially.
+// routed to per-sender assemblies and decoded into them, and only
+// *complete* logical updates are folded, in the same (sender rank,
+// scatter) order the serial path would use — so the fold input multiset
+// and order, and therefore the float result bit for bit, match the
+// unbucketed path. Incomplete assemblies persist across gathers until their
+// fragments arrive or a newer scatter evicts them; they are never folded
+// partially.
 func (v *Vector) gatherBucketed(udf UDF, mode dstorm.GatherMode, weak bool) (GatherStats, error) {
 	// Always drain everything at the dstorm layer: one logical update spans
 	// many ring slots, so a dstorm-level GatherLatest would keep one
@@ -629,16 +662,16 @@ func (v *Vector) gatherBucketed(udf UDF, mode dstorm.GatherMode, weak bool) (Gat
 	}
 	stats := GatherStats{}
 	v.updateBuf = v.updateBuf[:0]
-	v.fragTasks = v.fragTasks[:0]
 	v.readyAsm = v.readyAsm[:0]
 
 	// Stage 1 (serial): route fragments to assemblies in arrival order
-	// (sender rank asc, then sequence asc — the dstorm drain order). The
-	// GatherIf filter runs per fragment; all fragments of one update carry
-	// the same sender and iteration stamp, so the accept decision is
-	// consistent across an update. A completion is recorded the moment a
-	// sender's last fragment lands, which keeps completions grouped by
-	// sender and ascending in scatter ID — the serial fold order.
+	// (sender rank asc, then sequence asc — the dstorm drain order) and
+	// decode each frame into its assembly. The GatherIf filter runs per
+	// fragment; all fragments of one update carry the same sender and
+	// iteration stamp, so the accept decision is consistent across an
+	// update. A completion is recorded the moment a sender's last fragment
+	// lands, which keeps completions grouped by sender and ascending in
+	// scatter ID — the serial fold order.
 	for _, u := range ups {
 		if v.accept != nil && !v.accept(u.From, u.Iter) {
 			continue
@@ -650,24 +683,17 @@ func (v *Vector) gatherBucketed(udf UDF, mode dstorm.GatherMode, weak bool) (Gat
 			}
 			return stats, herr
 		}
-		if t := v.bucket.planFragment(v.dim, u.From, u.Iter, h, u.Data); t != nil {
-			if v.comp != nil {
-				// Compressed fragments decode here in stage 1, not on the
-				// pool: the frame decoder can fail (torn or corrupt
-				// frames) and only this serial stage has error handling.
-				dst := t.asm.data[t.h.lo : t.h.lo+t.h.count]
-				if derr := compress.Decode(dst, t.h.lo, t.payload[bucketHeaderSize:]); derr != nil {
-					// Roll the deposit back so a retried fragment can
-					// still land in this assembly.
-					t.asm.seen[t.h.lo/v.bucket.coords] = false
-					t.asm.got--
-					if weak && u.Torn {
-						continue
-					}
-					return stats, derr
+		if a := v.bucket.routeFragment(v.dim, u.From, u.Iter, h); a != nil {
+			if derr := compress.Decode(a.data[h.lo:h.lo+h.count], h.lo, u.Data[bucketHeaderSize:]); derr != nil {
+				// Roll the deposit back so a retried fragment can still
+				// land in this assembly; the update never completes on a
+				// frame that failed to decode.
+				a.seen[h.lo/v.bucket.coords] = false
+				a.got--
+				if weak && u.Torn {
+					continue
 				}
-			} else {
-				v.fragTasks = append(v.fragTasks, *t)
+				return stats, derr
 			}
 			if a := v.bucket.completeAsm(u.From); a != nil {
 				v.readyAsm = append(v.readyAsm, readyUpd{from: u.From, a: a})
@@ -691,31 +717,14 @@ func (v *Vector) gatherBucketed(udf UDF, mode dstorm.GatherMode, weak bool) (Gat
 		ready = kept
 	}
 
-	// Stage 2: decode fragments into their assemblies.
-	pool := v.seg.Node().GatherPool()
-	if pool != nil && len(v.fragTasks) > 1 {
-		g := pool.NewGroup()
-		for i := range v.fragTasks {
-			t := &v.fragTasks[i]
-			g.Go(func() { decodeFragInto(t.asm.data, t.h, t.payload) })
-			v.perf.DecodeTasks++
-		}
-		g.Wait()
-	} else {
-		for i := range v.fragTasks {
-			t := &v.fragTasks[i]
-			decodeFragInto(t.asm.data, t.h, t.payload)
-		}
-	}
-
-	// Stage 3: fold the complete updates.
+	// Stage 2: fold the complete updates.
 	for _, r := range ready {
 		v.noteUpdate(&stats, dstorm.Update{From: r.from, Iter: r.a.iter})
 		v.updateBuf = append(v.updateBuf, Update{From: r.from, Iter: r.a.iter, Data: r.a.data})
 		v.doneAsm = append(v.doneAsm, r.a)
 	}
 	if udf != nil {
-		v.fold(udf, pool)
+		v.fold(udf, v.seg.Node().GatherPool())
 	}
 	for _, a := range v.doneAsm {
 		v.bucket.releaseAsm(a)
@@ -735,23 +744,19 @@ func (v *Vector) gatherBucketed(udf UDF, mode dstorm.GatherMode, weak bool) (Gat
 	return stats, nil
 }
 
-// decodeInto decodes one raw payload into an update slot's scratch. Sparse
-// updates are densified so every UDF sees a uniform dense view.
-func (v *Vector) decodeInto(s *updScratch, payload []byte) error {
-	if v.comp != nil {
-		return compress.Decode(s.dense, 0, payload)
+// decodeInto decodes one frame into an update slot's scratch. A Sparse
+// vector's pairs are kept for Update.Sparse and densified so every UDF
+// sees a uniform dense view.
+func (v *Vector) decodeInto(s *updScratch, frame []byte) error {
+	if v.typ != Sparse {
+		return compress.Decode(s.dense, 0, frame)
 	}
-	switch v.typ {
-	case Sparse:
-		if err := decodeSparseInto(&s.sv, payload); err != nil {
-			return err
-		}
-		linalg.Zero(s.dense)
-		s.sv.AxpyDense(1, s.dense)
-		return nil
-	default:
-		return decodeDenseInto(s.dense, payload)
+	if err := compress.DecodePairs(&s.sv, v.dim, frame); err != nil {
+		return err
 	}
+	linalg.Zero(s.dense)
+	s.sv.AxpyDense(1, s.dense)
+	return nil
 }
 
 // fold applies the UDF, chunked across the coordinate axis when a chunk

@@ -8,13 +8,14 @@ import (
 	"testing/quick"
 	"time"
 
+	"malt/internal/compress"
 	"malt/internal/dataflow"
 	"malt/internal/dstorm"
 	"malt/internal/fabric"
 	"malt/internal/ml/linalg"
 )
 
-func newVectors(t *testing.T, ranks, dim int, typ Type, opts Options) []*Vector {
+func newVectors(t testing.TB, ranks, dim int, typ Type, opts Options) []*Vector {
 	t.Helper()
 	f, err := fabric.New(fabric.Config{Ranks: ranks})
 	if err != nil {
@@ -238,22 +239,34 @@ func TestCreateValidation(t *testing.T) {
 	}
 }
 
+// codecVector is a bare vector for exercising encode/decodeInto without a
+// cluster.
+func codecVector(typ Type, dim int) *Vector {
+	coords, codec := dim, compress.NoneCodec
+	if typ == Sparse {
+		codec = compress.TopKCodec
+	}
+	return &Vector{typ: typ, dim: dim, data: make([]float64, dim), encBuf: make([]byte, compress.MaxFrameBytes(codec, coords))}
+}
+
 func TestDenseCodecRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		dim := 1 + r.Intn(64)
-		data := make([]float64, dim)
-		for i := range data {
-			data[i] = r.NormFloat64()
+		v := codecVector(Dense, dim)
+		for i := range v.data {
+			v.data[i] = r.NormFloat64()
 		}
-		buf := make([]byte, 8*dim)
-		enc := encodeDense(buf, data)
-		dec := make([]float64, dim)
-		if err := decodeDenseInto(dec, enc); err != nil {
+		enc, err := v.encode()
+		if err != nil {
 			return false
 		}
-		for i := range data {
-			if data[i] != dec[i] {
+		s := updScratch{dense: make([]float64, dim)}
+		if err := v.decodeInto(&s, enc); err != nil {
+			return false
+		}
+		for i := range v.data {
+			if v.data[i] != s.dense[i] {
 				return false
 			}
 		}
@@ -272,20 +285,20 @@ func TestSparseCodecRoundTrip(t *testing.T) {
 			m[int32(r.Intn(1000))] = r.NormFloat64()
 		}
 		sv := linalg.FromMap(m)
-		buf := make([]byte, 4+12*sv.NNZ())
-		enc, err := encodeSparse(buf, sv)
+		v := codecVector(Sparse, 1000)
+		enc, err := v.encodePairs(sv)
 		if err != nil {
 			return false
 		}
-		dec, err := decodeSparse(enc)
-		if err != nil {
+		s := updScratch{dense: make([]float64, v.dim)}
+		if err := v.decodeInto(&s, enc); err != nil {
 			return false
 		}
-		if dec.NNZ() != sv.NNZ() {
+		if s.sv.NNZ() != sv.NNZ() {
 			return false
 		}
 		for i := range sv.Idx {
-			if sv.Idx[i] != dec.Idx[i] || sv.Val[i] != dec.Val[i] {
+			if sv.Idx[i] != s.sv.Idx[i] || sv.Val[i] != s.sv.Val[i] || s.dense[sv.Idx[i]] != sv.Val[i] {
 				return false
 			}
 		}
@@ -297,12 +310,20 @@ func TestSparseCodecRoundTrip(t *testing.T) {
 }
 
 func TestSparseCodecCorruptPayloads(t *testing.T) {
-	if _, err := decodeSparse([]byte{1, 2}); err == nil {
+	v := codecVector(Sparse, 100)
+	s := updScratch{dense: make([]float64, v.dim)}
+	if err := v.decodeInto(&s, []byte{1, 2}); err == nil {
 		t.Fatal("short payload should fail")
 	}
-	// Count far beyond payload size.
-	if _, err := decodeSparse([]byte{255, 255, 255, 255, 0, 0, 0, 0}); err == nil {
+	// Pair count far beyond the payload size.
+	huge := compress.AppendPairsFrame(nil, v.dim, nil, nil)
+	huge[len(huge)-4], huge[len(huge)-1] = 0xff, 0xff
+	if err := v.decodeInto(&s, huge); err == nil {
 		t.Fatal("oversized count should fail")
+	}
+	// A dense frame is not a sparse update.
+	if err := v.decodeInto(&s, compress.AppendDenseFrame(nil, make([]float64, v.dim))); err == nil {
+		t.Fatal("none frame on a sparse vector should fail")
 	}
 }
 
@@ -475,5 +496,101 @@ func TestVectorSegStats(t *testing.T) {
 	st := vecs[1].SegStats()
 	if st.Consumed != 2 || st.Overwritten != 3 {
 		t.Fatalf("SegStats = %+v", st)
+	}
+}
+
+// topK builds the sparse update holding the k largest-magnitude entries of
+// data, as a top-k compressing trainer would before ScatterSparse.
+func topK(data []float64, k int) *linalg.SparseVector {
+	sv := &linalg.SparseVector{Idx: compress.SelectTopK(data, k, nil)}
+	for _, ix := range sv.Idx {
+		sv.Val = append(sv.Val, data[ix])
+	}
+	return sv
+}
+
+// TestTopKTable: a top-k selection scattered as a sparse update arrives as
+// exactly the selected pairs — ties, NaN and ±Inf values included — and an
+// empty selection arrives as an empty update.
+func TestTopKTable(t *testing.T) {
+	cases := []struct {
+		name    string
+		data    []float64
+		k       int
+		wantIdx []int32
+		wantVal []float64
+	}{
+		{"k zero", []float64{3, 1}, 0, nil, nil},
+		{"k negative", []float64{3, 1}, -2, nil, nil},
+		{"k equals dim", []float64{1, -2, 3}, 3, []int32{0, 1, 2}, []float64{1, -2, 3}},
+		{"k exceeds dim skips zeros", []float64{1, 0, 3}, 10, []int32{0, 2}, []float64{1, 3}},
+		{"all zeros", []float64{0, 0, 0}, 2, nil, nil},
+		{"ties break to lower index", []float64{2, -2, 2, -2}, 2, []int32{0, 1}, []float64{2, -2}},
+		{"ties across sign", []float64{-7, 7}, 1, []int32{0}, []float64{-7}},
+		{"NaN always ships", []float64{9, math.NaN(), 1}, 1, []int32{1}, []float64{math.NaN()}},
+		{"Inf outranks finite", []float64{math.MaxFloat64, math.Inf(-1)}, 1, []int32{1}, []float64{math.Inf(-1)}},
+		{"NaN and Inf tie by index", []float64{1, math.NaN(), math.Inf(1)}, 2, []int32{1, 2}, []float64{math.NaN(), math.Inf(1)}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			vecs := newVectors(t, 2, len(tc.data), Sparse, Options{})
+			if _, err := vecs[0].ScatterSparse(topK(tc.data, tc.k), 1); err != nil {
+				t.Fatal(err)
+			}
+			var got linalg.SparseVector
+			st, err := vecs[1].Gather(func(f Fold) {
+				for _, u := range f.Updates {
+					//maltlint:allow foldpurity -- the sender scattered once before this gather and nothing deposits concurrently
+					got = *u.Sparse.Clone()
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Updates != 1 {
+				t.Fatalf("gathered %d updates, want 1", st.Updates)
+			}
+			if got.NNZ() != len(tc.wantIdx) {
+				t.Fatalf("NNZ = %d, want %d (%v / %v)", got.NNZ(), len(tc.wantIdx), got.Idx, got.Val)
+			}
+			for i := range tc.wantIdx {
+				if got.Idx[i] != tc.wantIdx[i] {
+					t.Errorf("Idx[%d] = %d, want %d", i, got.Idx[i], tc.wantIdx[i])
+				}
+				want := tc.wantVal[i]
+				if math.IsNaN(want) {
+					if !math.IsNaN(got.Val[i]) {
+						t.Errorf("Val[%d] = %v, want NaN", i, got.Val[i])
+					}
+				} else if got.Val[i] != want {
+					t.Errorf("Val[%d] = %v, want %v", i, got.Val[i], want)
+				}
+			}
+		})
+	}
+}
+
+// TestTopKCompressedScatter: a top-k sparse scatter still delivers the
+// heavy coordinates to peers.
+func TestTopKCompressedScatter(t *testing.T) {
+	vecs := newVectors(t, 2, 100, Sparse, Options{MaxNNZ: 10})
+	d := vecs[0].Data()
+	for i := range d {
+		d[i] = 0.01
+	}
+	d[7] = 5
+	d[42] = -3
+	if _, err := vecs[0].ScatterSparse(topK(d, 2), 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vecs[1].Gather(Sum); err != nil {
+		t.Fatal(err)
+	}
+	got := vecs[1].Data()
+	if got[7] != 5 || got[42] != -3 {
+		t.Fatalf("heavy coordinates lost: %v %v", got[7], got[42])
+	}
+	if got[0] != 0 {
+		t.Fatal("light coordinate should have been dropped")
 	}
 }
